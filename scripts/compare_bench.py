@@ -6,7 +6,8 @@ Modes::
     # Gate: exit 1 if `current` regressed >15% vs `baseline`
     python scripts/compare_bench.py BENCH_kernel.baseline.json BENCH_kernel.json
 
-    # Schema check only (CI smoke): exit 2 on malformed records
+    # Schema and work check only (CI smoke): exit 2 on malformed or
+    # zero-work records
     python scripts/compare_bench.py --check BENCH_kernel.json BENCH_fig5.json
 
     # Engine-equivalence: exit 1 unless both records report identical
@@ -21,6 +22,11 @@ are not comparable and are rejected.  Differing machine fingerprints
 are reported as a warning (the comparison still runs; judge it
 accordingly).
 
+Every mode first rejects, as invalid input, a record that does not show
+the work it claims: no kernel events, a non-finite metric (a NaN mean
+latency or failure rate is what a run with no completed lookups
+reports), or a zero ``lookups`` count.
+
 Exit codes: 0 ok, 1 regression, 2 invalid input.
 """
 
@@ -28,12 +34,31 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 # perf_common owns the schema; import it from the suite directory.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks" / "perf"))
 import perf_common  # noqa: E402
+
+
+def zero_work_problems(record: dict) -> list[str]:
+    """Why ``record`` fails to show that its run did any work (empty
+    when it does): no events, a non-finite metric, or zero lookups."""
+    problems = []
+    if record["events"] <= 0:
+        problems.append("no kernel events")
+    for key, value in sorted(record.get("metrics", {}).items()):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            continue
+        if not math.isfinite(value):
+            problems.append(f"metrics[{key}] is {value}")
+        elif value <= 0 and (
+            key == "lookups" or key.endswith((".lookups", "_lookups"))
+        ):
+            problems.append(f"metrics[{key}] is {value}: no lookups measured")
+    return problems
 
 
 def load_record(path: str) -> dict:
@@ -45,6 +70,9 @@ def load_record(path: str) -> dict:
         perf_common.validate_record(record)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    problems = zero_work_problems(record)
+    if problems:
+        raise ValueError(f"{path}: record shows no work: {'; '.join(problems)}")
     return record
 
 
@@ -109,7 +137,8 @@ def main(argv=None) -> int:
     parser.add_argument("records", nargs="+",
                         help="baseline.json current.json, or files for --check")
     parser.add_argument("--check", action="store_true",
-                        help="only validate record schemas, no comparison")
+                        help="only validate record schemas and that each "
+                             "record shows work, no comparison")
     parser.add_argument("--assert-equal", action="store_true",
                         help="require the two records to report identical "
                              "simulation results (events and metrics); "

@@ -48,6 +48,9 @@ class OwnerDecision:
 class StaticOverlay:
     """Chord ownership and routing state over a fixed population."""
 
+    #: Field layout of typed (Verme) ids; plain Chord ids have none.
+    layout: Optional[VermeIdLayout] = None
+
     def __init__(self, space: IdSpace, infos: Sequence[NodeInfo]) -> None:
         if not infos:
             raise ValueError("an overlay needs at least one node")
@@ -190,14 +193,28 @@ class StaticOverlay:
         return list(seen.values())
 
     def routing_target_indices(
-        self, index: int, num_successors: int, num_predecessors: int
+        self,
+        index: int,
+        num_successors: int,
+        num_predecessors: int,
+        keep_type: Optional[int] = None,
     ) -> List[int]:
         """Index-form :meth:`routing_entries`: the same entries in the
         same first-occurrence order (successors, then predecessors, then
         fingers by ascending ``k``), but as overlay indices with no
         ``NodeInfo`` materialisation or ``index_of`` lookups.  This is
         the worm-knowledge hot path.
+
+        ``keep_type`` keeps only entries whose id carries that type
+        field (Verme overlays only: plain Chord ids encode no type).
+        On a :class:`VermeStaticOverlay` (exactly; not its ablation
+        subclasses) the whole extraction runs as one fused integer
+        loop, see :func:`_verme_routing_target_indices`.
         """
+        if type(self) is VermeStaticOverlay:
+            return _verme_routing_target_indices(
+                self, index, num_successors, num_predecessors, keep_type
+            )
         ids = self.ids
         n = len(ids)
         out: List[int] = []
@@ -222,6 +239,12 @@ class StaticOverlay:
             if owner_id != node_id and oi not in seen and allowed(node_id, owner_id):
                 seen.add(oi)
                 out.append(oi)
+        if keep_type is not None:
+            layout = self.layout
+            if layout is None:
+                raise ValueError("keep_type needs ids that encode a type field")
+            type_of = layout.type_of
+            out = [i for i in out if type_of(ids[i]) == keep_type]
         return out
 
     def _ids_numpy(self):
@@ -449,3 +472,121 @@ class NaiveFingerVermeOverlay(VermeStaticOverlay):
 
     def _finger_entry_allowed(self, node_id: int, owner_id: int) -> bool:
         return True
+
+
+def _verme_routing_target_indices(
+    overlay: VermeStaticOverlay,
+    index: int,
+    num_successors: int,
+    num_predecessors: int,
+    keep_type: Optional[int],
+) -> List[int]:
+    """:meth:`StaticOverlay.routing_target_indices` on a Verme overlay,
+    fused into one integer loop.
+
+    The output is exactly the generic path's (same indices, same
+    order): the §4.4 finger displacement (:func:`verme_finger_target`),
+    the section-bounded owner rule with its predecessor fallback
+    (:meth:`VermeStaticOverlay.owner`), the containment check
+    (:meth:`VermeStaticOverlay._finger_entry_allowed`) and the
+    ``keep_type`` filter are inlined as shifts and masks on the ids,
+    with one ``bisect_left`` per finger.
+
+    The successor window holds distinct indices.  A predecessor at
+    distance ``j`` repeats the successor at distance ``n - j``, so only
+    the first ``n - 1 - cs`` predecessors can be new.  Dropping a
+    filtered-out entry early cannot change the dedup, because the same
+    index at a later position would be filtered out again.
+
+    **Own-section finger cutoff** (``keep_type`` is the node's own
+    type).  A finger survives the containment rule if its owner is in
+    the node's section or of another type.  It survives the type filter
+    only if its owner has the node's type.  Both hold only if the owner
+    is in the node's own section.  Let ``b`` be the first node at or
+    after the start of the next section, and ``D`` the clockwise
+    distance from the node to ``b``.  If ``b`` lies outside the own
+    section, every finger ``k`` with ``2**k > D`` targets a point beyond
+    ``b``.  The predecessor of that target is then ``b`` or a node after
+    it.  Its successor is either in the target's section or it falls
+    back to that predecessor.  A finger target lies at most half the
+    ring plus one section past the node, and a section is at most a
+    quarter of the ring, so none of these wraps back into the own
+    section.  Such a finger therefore never survives, and the ``k``
+    loop stops at ``D.bit_length()``.  If ``b`` is in the own section,
+    no node lies outside it, and there is no cutoff.  This includes
+    ``D == 0``, where ``b`` is the node itself.
+    """
+    ids = overlay.ids
+    n = len(ids)
+    layout = overlay.layout
+    section_bits = layout.section_bits
+    type_mask = (1 << layout.type_bits) - 1
+    bits = layout.space.bits
+    id_mask = layout.space.mask
+    section_length = 1 << section_bits
+    node_id = ids[index]
+    own_section = node_id >> section_bits
+    own_type = own_section & type_mask
+
+    cs = max(0, min(num_successors, n - 1))
+    cp = min(num_predecessors, n - 1 - cs)
+    out: List[int] = []
+    for i in range(index + 1, index + 1 + cs):
+        if i >= n:
+            i -= n
+        if keep_type is None or (ids[i] >> section_bits) & type_mask == keep_type:
+            out.append(i)
+    for i in range(index - 1, index - 1 - cp, -1):
+        if i < 0:
+            i += n
+        if keep_type is None or (ids[i] >> section_bits) & type_mask == keep_type:
+            out.append(i)
+
+    # Maintained fingers: those not covered by the first successor.
+    span = (ids[index + 1 if index + 1 < n else 0] - node_id) & id_mask
+    if not span:  # single-node overlay
+        return out
+    k_stop = bits
+    own_only = keep_type == own_type
+    if own_only:
+        # b: the first node at or after the start of the next section.
+        b = bisect_left(ids, ((own_section + 1) << section_bits) & id_mask)
+        b_id = ids[b if b < n else 0]
+        if b_id >> section_bits != own_section:
+            k_stop = min(bits, ((b_id - node_id) & id_mask).bit_length())
+    seen = set(out)
+    for k in range(span.bit_length(), k_stop):
+        target = (node_id + (1 << k)) & id_mask
+        target_section = target >> section_bits
+        if (
+            target_section != own_section
+            and not (target_section ^ own_section) & type_mask
+        ):
+            # A foreign section of our own type (never the next section,
+            # whose type always differs): displace one section.
+            target = (target + section_length) & id_mask
+            target_section = target >> section_bits
+        p = bisect_left(ids, target)
+        oi = p if p < n else 0
+        owner_id = ids[oi]
+        if owner_id >> section_bits != target_section:
+            # Successor outside the target's section: the predecessor owns it.
+            oi = p - 1 if p else n - 1
+            owner_id = ids[oi]
+        if owner_id == node_id or oi in seen:
+            continue
+        owner_section = owner_id >> section_bits
+        if own_only:
+            keep = owner_section == own_section
+        elif keep_type is None:
+            keep = (
+                owner_section == own_section
+                or (owner_section ^ own_section) & type_mask
+            )
+        else:
+            # Another type than the node's own: containment always holds.
+            keep = owner_section & type_mask == keep_type
+        if keep:
+            seen.add(oi)
+            out.append(oi)
+    return out

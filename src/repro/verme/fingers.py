@@ -19,19 +19,26 @@ from ..ids.sections import VermeIdLayout
 
 
 def verme_finger_target(layout: VermeIdLayout, node_id: int, k: int) -> int:
-    """The id whose Verme owner is node ``node_id``'s finger ``k``."""
-    raw = layout.space.wrap(node_id + (1 << k))
-    own_section = layout.section_index(node_id)
-    raw_section = layout.section_index(raw)
+    """The id whose Verme owner is node ``node_id``'s finger ``k``.
+
+    Pure integer arithmetic on the layout's fields (no per-call id
+    validation or derived-property lookups): this runs for every finger
+    of every node in the static worm overlays and the live engine.
+    """
+    section_bits = layout.section_bits
+    mask = layout.space.mask
+    raw = (node_id + (1 << k)) & mask
+    own_section = node_id >> section_bits
+    raw_section = raw >> section_bits
     if raw_section == own_section:
         # Within the node's own island: successors there are legal.
         return raw
-    if raw_section == (own_section + 1) % layout.num_sections:
+    if raw_section == (own_section + 1) & (mask >> section_bits):
         # The subsequent section is of the opposite type already.
         return raw
-    if layout.type_of(raw) == layout.type_of(node_id):
+    if not (raw_section ^ own_section) & ((1 << layout.type_bits) - 1):
         # Would land among nodes of our own type: displace one section.
-        return layout.advance_sections(raw, 1)
+        return (raw + (1 << section_bits)) & mask
     return raw
 
 

@@ -56,16 +56,12 @@ class ImpersonatorKnowledge:
     def targets_of(self, index: int) -> List[int]:
         if index != self.impersonator_index:
             return self.base.targets_of(index)
-        layout = self.overlay.layout
-        ids = self.overlay.ids
-        indices = self.overlay.routing_target_indices(
-            index, self.base.num_successors, self.base.num_predecessors
+        return self.overlay.routing_target_indices(
+            index,
+            self.base.num_successors,
+            self.base.num_predecessors,
+            int(self.victim_type),
         )
-        return [
-            i
-            for i in indices
-            if NodeType(layout.type_of(ids[i])) is self.victim_type
-        ]
 
 
 class _SectionHarvester:

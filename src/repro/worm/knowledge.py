@@ -52,8 +52,9 @@ class RoutingKnowledge:
         node_types: Optional[Sequence[int]] = None,
     ) -> None:
         """``same_type_only`` models the worm reading types from ids
-        (requires ``layout``); ``node_types`` supplies per-index types
-        for overlays whose ids do not encode them (Chord)."""
+        (requires ``layout``, which then decides every type);
+        ``node_types`` records per-index types for callers that
+        inspect them but plays no part in the filtering."""
         if same_type_only and layout is None:
             raise ValueError("same_type_only filtering needs a VermeIdLayout")
         self.overlay = overlay
@@ -63,28 +64,38 @@ class RoutingKnowledge:
         self.layout = layout
         self.node_types = node_types
 
-    def _type_of_index(self, index: int) -> Optional[int]:
-        if self.layout is not None:
-            return self.layout.type_of(self.overlay.ids[index])
-        if self.node_types is not None:
-            return self.node_types[index]
-        return None
-
     def targets_of(self, index: int) -> List[int]:
-        indices = self.overlay.routing_target_indices(
-            index, self.num_successors, self.num_predecessors
-        )
+        overlay = self.overlay
         if not self.same_type_only:
-            return indices
-        own_type = self._type_of_index(index)
-        return [i for i in indices if self._type_of_index(i) == own_type]
+            return overlay.routing_target_indices(
+                index, self.num_successors, self.num_predecessors
+            )
+        layout = self.layout
+        ids = overlay.ids
+        own_type = layout.type_of(ids[index])
+        if overlay.layout is layout or overlay.layout == layout:
+            # The overlay filters by type in the same pass.
+            return overlay.routing_target_indices(
+                index, self.num_successors, self.num_predecessors, own_type
+            )
+        # The overlay's ids are not typed by this layout (e.g. Chord):
+        # filter its routing state here instead.
+        type_of = layout.type_of
+        return [
+            i
+            for i in overlay.routing_target_indices(
+                index, self.num_successors, self.num_predecessors
+            )
+            if type_of(ids[i]) == own_type
+        ]
 
     def targets_of_many(self, indices):
         """Batched :meth:`targets_of`: ``(flat, counts)`` with the
         concatenated per-node target lists and each row's length.
         Unfiltered knowledge delegates to the overlay's vectorised
-        batch extraction; type-filtered knowledge falls back to the
-        scalar path per node (the filter is per-target Python logic).
+        batch extraction; type-filtered knowledge runs the overlay's
+        per-node extraction (on Verme, the fused integer loop of
+        :meth:`~repro.overlay.snapshot.StaticOverlay.routing_target_indices`).
         """
         if not self.same_type_only:
             return self.overlay.routing_target_indices_many(

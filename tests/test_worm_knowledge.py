@@ -8,6 +8,7 @@ from repro.chord.state import NodeInfo
 from repro.ids import IdSpace, NodeType, VermeIdLayout
 from repro.net import NodeAddress
 from repro.overlay import StaticOverlay, VermeStaticOverlay
+from repro.overlay.snapshot import NaiveFingerVermeOverlay
 from repro.sim import Simulator
 from repro.worm import (
     CompromiseVerDiHarvester,
@@ -18,6 +19,7 @@ from repro.worm import (
     chord_knowledge,
     verme_knowledge,
 )
+from repro.verme import verme_finger_target
 
 SPACE = IdSpace(32)
 LAYOUT = VermeIdLayout.for_sections(SPACE, 32)
@@ -189,3 +191,129 @@ def test_harvester_rejects_bad_rate():
             sim, worm, overlay, imp_idx, NodeType.A, random.Random(5),
             rate_per_s=0.0, replicas_per_lookup=1, vulnerable_total=vuln_total,
         )
+
+
+# -- fused Verme extraction: exact equality with the generic composition ------
+
+
+def _reference_targets(overlay, index, num_successors, num_predecessors, keep_type):
+    """Routing targets composed from the per-id helpers: successors,
+    predecessors, then fingers through ``verme_finger_target`` (plain
+    Chord targets on the naive ablation), ``VermeStaticOverlay.owner``
+    and ``_finger_entry_allowed``; then a per-target type filter."""
+    ids = overlay.ids
+    n = len(ids)
+    layout = overlay.layout
+    naive = isinstance(overlay, NaiveFingerVermeOverlay)
+    out, seen = [], set()
+    for j in range(1, min(num_successors, n - 1) + 1):
+        i = (index + j) % n
+        if i not in seen:
+            seen.add(i)
+            out.append(i)
+    for j in range(1, min(num_predecessors, n - 1) + 1):
+        i = (index - j) % n
+        if i not in seen:
+            seen.add(i)
+            out.append(i)
+    node_id = ids[index]
+    for k in overlay.maintained_finger_indices(index):
+        if naive:
+            target = layout.space.power_of_two_target(node_id, k)
+        else:
+            target = verme_finger_target(layout, node_id, k)
+        oi = VermeStaticOverlay.owner(overlay, target).index
+        owner_id = ids[oi]
+        allowed = naive or VermeStaticOverlay._finger_entry_allowed(
+            overlay, node_id, owner_id
+        )
+        if owner_id != node_id and oi not in seen and allowed:
+            seen.add(oi)
+            out.append(oi)
+    if keep_type is None:
+        return out
+    return [i for i in out if layout.type_of(ids[i]) == keep_type]
+
+
+def _verme_ring(layout, rng, n, sections=None):
+    """A ring of ``n`` distinct ids, drawn from ``sections`` if given
+    (else from the whole ring with alternating types)."""
+    used = set()
+    while len(used) < n:
+        if sections is None:
+            nid = layout.random_id(rng, len(used) % layout.num_types)
+        else:
+            start, end = layout.section_bounds(rng.choice(sections))
+            nid = rng.randint(start, end)
+        used.add(nid)
+    return VermeStaticOverlay.from_ids(layout, list(used))
+
+
+SPACE64 = IdSpace(64)
+
+
+def _rings():
+    rng = random.Random(31)
+    dense = VermeIdLayout.for_sections(SPACE64, 64)
+    sparse = VermeIdLayout.for_sections(SPACE64, 4096)
+    small = VermeIdLayout.for_sections(SPACE64, 16)
+    four_types = VermeIdLayout.for_sections(SPACE64, 256, type_bits=2)
+    yield "dense-1k/64", _verme_ring(dense, rng, 1000)
+    yield "sparse-2k/4096", _verme_ring(sparse, rng, 2000)
+    yield "one-section", _verme_ring(small, rng, 60, sections=[5])
+    yield "last-section", _verme_ring(small, rng, 30, sections=[15])
+    yield "two-adjacent", _verme_ring(small, rng, 60, sections=[6, 7])
+    yield "two-same-type", _verme_ring(small, rng, 60, sections=[3, 11])
+    yield "two-wrapping", _verme_ring(small, rng, 40, sections=[15, 0])
+    yield "four-types", _verme_ring(four_types, rng, 400)
+    for n in (2, 5, 20, 21, 22):
+        yield f"n={n}", _verme_ring(small, rng, n)
+
+
+RINGS = list(_rings())
+
+
+@pytest.mark.parametrize("name,overlay", RINGS, ids=[name for name, _ in RINGS])
+def test_fused_verme_extraction_matches_reference(name, overlay):
+    layout = overlay.layout
+    windows = [(10, 10)] if len(overlay) > 100 else [(10, 10), (3, 7), (5, 0), (0, 0)]
+    for index in range(len(overlay)):
+        own = layout.type_of(overlay.ids[index])
+        for keep in [None, *range(layout.num_types)]:
+            for ns, np_ in windows:
+                assert overlay.routing_target_indices(
+                    index, ns, np_, keep
+                ) == _reference_targets(overlay, index, ns, np_, keep), (
+                    name, index, own, keep, ns, np_,
+                )
+
+
+@pytest.mark.parametrize("name,overlay", RINGS, ids=[name for name, _ in RINGS])
+def test_naive_finger_rows_unchanged(name, overlay):
+    naive = NaiveFingerVermeOverlay.from_ids(overlay.layout, overlay.ids)
+    layout = naive.layout
+    for index in range(0, len(naive), max(1, len(naive) // 200)):
+        for keep in [None, *range(layout.num_types)]:
+            assert naive.routing_target_indices(
+                index, 10, 10, keep
+            ) == _reference_targets(naive, index, 10, 10, keep)
+
+
+def test_knowledge_models_use_the_typed_extraction():
+    name, overlay = RINGS[0]
+    layout = overlay.layout
+    base = verme_knowledge(overlay, 10, 10)
+    for index in range(0, len(overlay), 7):
+        own = layout.type_of(overlay.ids[index])
+        assert base.targets_of(index) == _reference_targets(overlay, index, 10, 10, own)
+        victim = NodeType(1 - own)
+        imp = ImpersonatorKnowledge(base, overlay, index, victim)
+        assert imp.targets_of(index) == _reference_targets(
+            overlay, index, 10, 10, int(victim)
+        )
+
+
+def test_keep_type_needs_typed_ids():
+    overlay = StaticOverlay.from_ids(SPACE, [1, 2, 3])
+    with pytest.raises(ValueError):
+        overlay.routing_target_indices(0, 2, 0, 0)
