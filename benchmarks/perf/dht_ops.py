@@ -7,11 +7,20 @@ the perf companion to Figures 6/7: it exercises the DHT layers, the
 bandwidth-delayed network path and the per-operation byte tagging that
 the Fig. 5 lookup benchmark does not touch.
 
+Per system, the record's metrics carry mean get/put latency, failures,
+mean bytes per get and per put, and the bytes of background replica
+maintenance (the ``replication`` category, which the per-op bytes
+exclude).  ``--engine`` overrides the default object engine; both
+engines produce bit-identical metrics and event counts (asserted in CI
+via ``scripts/compare_bench.py --assert-equal``), so engine records
+differ only in wall clock.
+
 Usage::
 
     python benchmarks/perf/dht_ops.py              # default (~10 s)
     python benchmarks/perf/dht_ops.py --smoke      # CI scale
     python benchmarks/perf/dht_ops.py --nodes 1000 # bigger ring
+    python benchmarks/perf/dht_ops.py --smoke --engine columnar
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from repro.experiments.dht_ops import (  # noqa: E402
     DhtExperimentConfig,
     run_dht_cell_instrumented,
 )
+from repro.net.network import Network  # noqa: E402
 
 SEED = 0
 VERDI_SYSTEMS = ("fast-verdi", "secure-verdi", "compromise-verdi")
@@ -36,6 +46,10 @@ def main(argv=None) -> int:
     parser.add_argument("--sections", type=int, default=32)
     parser.add_argument("--ops", type=int, default=40,
                         help="puts and gets per system (default 40 each)")
+    parser.add_argument("--engine", choices=("object", "columnar"),
+                        default="object",
+                        help="live-protocol engine (metrics and event "
+                             "counts are bit-identical either way)")
     parser.add_argument("--smoke", action="store_true",
                         help="120 nodes / 16 sections / 20 ops, for CI")
     parser.add_argument("--out", default=None,
@@ -51,34 +65,47 @@ def main(argv=None) -> int:
         num_puts=ops,
         num_gets=ops,
         seed=SEED,
+        engine=args.engine,
     )
     total_events = 0
     metrics = {}
+    networks = []
     start = time.perf_counter()
-    for system in VERDI_SYSTEMS:
-        result, events = run_dht_cell_instrumented(config, system)
-        total_events += events
-        get_lat = result.get_stats.latency_summary()
-        put_lat = result.put_stats.latency_summary()
-        metrics[f"{system}_get_mean_latency_s"] = get_lat.mean
-        metrics[f"{system}_put_mean_latency_s"] = put_lat.mean
-        metrics[f"{system}_failures"] = float(
-            result.get_stats.failures + result.put_stats.failures
-        )
+    with perf_common.capturing(Network, networks):
+        for system in VERDI_SYSTEMS:
+            result, events = run_dht_cell_instrumented(config, system)
+            total_events += events
+            get_lat = result.get_stats.latency_summary()
+            put_lat = result.put_stats.latency_summary()
+            metrics[f"{system}_get_mean_latency_s"] = get_lat.mean
+            metrics[f"{system}_put_mean_latency_s"] = put_lat.mean
+            metrics[f"{system}_failures"] = float(
+                result.get_stats.failures + result.put_stats.failures
+            )
+            metrics[f"{system}_get_mean_bytes"] = result.get_stats.bytes_summary().mean
+            metrics[f"{system}_put_mean_bytes"] = result.put_stats.bytes_summary().mean
+            metrics[f"{system}_replication_bytes"] = float(
+                networks[-1].accounting.category_bytes("replication")
+            )
     wall = time.perf_counter() - start
 
+    parameters = {
+        "systems": list(VERDI_SYSTEMS),
+        "num_nodes": nodes,
+        "num_sections": sections,
+        "num_puts": ops,
+        "num_gets": ops,
+    }
+    if args.engine != "object":
+        # An engine record must not gate against an object baseline
+        # (compare_bench.py refuses records whose parameters differ).
+        parameters["engine"] = args.engine
     record = perf_common.bench_record(
         name="dht_ops",
         wall_clock_s=wall,
         events=total_events,
         seed=SEED,
-        parameters={
-            "systems": list(VERDI_SYSTEMS),
-            "num_nodes": nodes,
-            "num_sections": sections,
-            "num_puts": ops,
-            "num_gets": ops,
-        },
+        parameters=parameters,
         metrics=metrics,
     )
     path = perf_common.write_record(record, args.out)

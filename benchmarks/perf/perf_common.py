@@ -25,8 +25,9 @@ import platform
 import resource
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -61,6 +62,23 @@ def machine_fingerprint() -> Dict[str, Any]:
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count(),
     }
+
+
+@contextmanager
+def capturing(cls: type, sink: List[Any]) -> Iterator[None]:
+    """Append every instance of ``cls`` built inside the block to
+    ``sink``, for reading counters the entry point does not return."""
+    orig = cls.__init__
+
+    def init(obj, *args, **kwargs):
+        orig(obj, *args, **kwargs)
+        sink.append(obj)
+
+    cls.__init__ = init
+    try:
+        yield
+    finally:
+        cls.__init__ = orig
 
 
 def peak_rss_kib() -> int:

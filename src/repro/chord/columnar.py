@@ -55,6 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.stats import LookupStats
 from ..ids.sections import VermeIdLayout
+from ..net.addressing import NodeAddress
 from ..net.message import (
     ADDR_BYTES,
     CERT_BYTES,
@@ -296,6 +297,10 @@ class ColumnarEngine:
         # Serving-layer admission state (repro.chord.admission), one
         # slot per row; all-None = unlimited capacity, the paper's model.
         self.adm: List = []
+        # Per-row NodeInfo memo, filled by ``info_of`` on first request
+        # (the DHT bridge is its only caller, so fig5/overload never
+        # touch it).
+        self._infos: Dict[int, NodeInfo] = {}
 
         self.order: List[int] = []  # population rows, insertion order
         self._used_ids: set = set()
@@ -387,9 +392,16 @@ class ColumnarEngine:
         sim._live += 1
 
     def info_of(self, row: int) -> NodeInfo:
-        from ..net.addressing import NodeAddress
-
-        return NodeInfo(self.node_id[row], NodeAddress(self.host[row], self.inc[row]))
+        """The row's :class:`NodeInfo`, built on first request and then
+        shared.  Rows are append-only (a rejoin makes a new row with
+        ``inc + 1``) and NodeInfo is immutable, so a row's info never
+        changes."""
+        info = self._infos.get(row)
+        if info is None:
+            info = self._infos[row] = NodeInfo(
+                self.node_id[row], NodeAddress(self.host[row], self.inc[row])
+            )
+        return info
 
     def logical_events(self, upto: float) -> int:
         """The object engine's ``sim.events_processed`` for this run:

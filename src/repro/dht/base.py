@@ -299,9 +299,20 @@ class DhtNode:
 
     # -- replica maintenance -------------------------------------------------------------
 
-    def _local_group_view(self, key: int) -> List[NodeInfo]:
-        """This node's best local guess at the replica group of ``key``
-        (empty when the node cannot tell it is a member)."""
+    def _group_candidates(self) -> object:
+        """This node's replica-group candidates, built from its routing
+        state at call time.
+
+        Everything a group depends on apart from the key is gathered
+        here once, so a maintenance round pays for it once rather than
+        once per stored key.  Routing tables change between rounds, so
+        the result is used within one call and never kept."""
+        raise NotImplementedError
+
+    def _group_view(self, candidates: object, key: int) -> List[NodeInfo]:
+        """This node's best local guess at the replica group of ``key``,
+        selected from ``candidates`` (empty when the node cannot tell it
+        is a member).  The returned list is read-only."""
         raise NotImplementedError
 
     def _replicate_key(self, key: int) -> None:
@@ -309,7 +320,7 @@ class DhtNode:
         value = self.store.get(key)
         if value is None or not self.node.alive:
             return
-        for info in self._local_group_view(key):
+        for info in self._group_view(self._group_candidates(), key):
             if info.node_id == self.node.node_id:
                 continue
             self.node.rpc.call(
@@ -326,10 +337,13 @@ class DhtNode:
         node currently believes should hold it; push what they lack."""
         if not self.node.alive:
             return
+        candidates = self._group_candidates()
+        group_view = self._group_view
+        my_id = self.node.node_id
         by_target: Dict[NodeInfo, List[int]] = {}
         for key in self.store.keys():
-            for info in self._local_group_view(key):
-                if info.node_id != self.node.node_id:
+            for info in group_view(candidates, key):
+                if info.node_id != my_id:
                     by_target.setdefault(info, []).append(key)
         for info, keys in by_target.items():
             self.node.rpc.call(
@@ -486,7 +500,7 @@ class DhtNode:
         ``dht_fetch``) without touching the replica group.  Safe by
         construction: the value is content-addressed and was verified
         above, and a non-member never replicates it outward because
-        ``_local_group_view`` returns [] for keys it does not own."""
+        ``_group_view`` returns [] for keys it does not own."""
         if self.store.get(key) is not None:
             return
         try:

@@ -10,7 +10,7 @@ direct transfer — the paper notes Fast-VerDi "works very similarly".
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 from ..chord.lookup import LookupResult
 from ..chord.state import NodeInfo
@@ -22,15 +22,22 @@ class DHashNode(DhtNode):
 
     # -- replica maintenance ---------------------------------------------------
 
-    def _local_group_view(self, key: int) -> List[NodeInfo]:
+    def _group_candidates(self) -> Optional[Tuple[int, List[NodeInfo]]]:
+        """``(predecessor id, group)``: the node and its first *n-1*
+        successors, or None while the node has no predecessor."""
         node = self.node
         pred = node.predecessor
-        if pred is not None and node.space.in_half_open(
-            key, pred.node_id, node.node_id
-        ):
-            return [node.info] + node.successors.entries[
-                : self.config.num_replicas - 1
-            ]
+        if pred is None:
+            return None
+        return pred.node_id, [node.info] + node.successors.entries[
+            : self.config.num_replicas - 1
+        ]
+
+    def _group_view(self, candidates, key: int) -> List[NodeInfo]:
+        if candidates is not None:
+            pred_id, group = candidates
+            if self.space.in_half_open(key, pred_id, self.node.node_id):
+                return group
         # Not provably the owner: stay quiet and let the owner push.
         return []
 

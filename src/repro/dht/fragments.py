@@ -232,7 +232,8 @@ class FragmentedDHashNode(DHashNode):
 
     # -- maintenance: fragments are repaired by re-put (kept simple) -------------------
 
-    def _local_group_view(self, key: int):
+    def _group_candidates(self) -> None:
         # Background whole-block sync does not apply to fragments; the
         # classic system re-codes on repair, which we leave to re-puts.
-        return []
+        # No candidates means every group view is empty.
+        return None

@@ -10,7 +10,8 @@ the predecessors (handled by the in-section group construction).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_left
+from typing import List, Optional, Tuple
 
 from ..chord.state import NodeInfo
 from ..chord.rpc import RpcContext
@@ -59,36 +60,54 @@ class VerDiNode(DhtNode):
     def _group_size(self) -> int:
         return self.config.replicas_per_section
 
-    def _local_group_view(self, key: int) -> List[NodeInfo]:
+    def _group_candidates(self) -> Tuple[List[int], List[NodeInfo]]:
+        """``(ids, entries)``: the in-section entries this node can see
+        (successors, predecessors and itself, deduplicated by id, the
+        last entry of an id winning), sorted by id."""
+        node = self.node
+        length = self.layout.section_length
+        lo = self.layout.section_index(node.node_id) * length
+        hi = lo + length
+        by_id = {}
+        for entries in (node.successors.entries, node.predecessors.entries):
+            for e in entries:
+                if lo <= e.node_id < hi:
+                    by_id[e.node_id] = e
+        by_id[node.node_id] = node.info
+        ids = sorted(by_id)
+        return ids, [by_id[i] for i in ids]
+
+    def _group_view(self, candidates, key: int) -> List[NodeInfo]:
         """The in-section replica group members this node can see.
 
         Mirrors the static construction: clockwise from the position's
         owner, then counter-clockwise (the "replicate toward the
         predecessors" corner rule), never leaving the section.
+
+        One bisect over the id-sorted candidates selects the group, and
+        it is exact.  ``position_for_me`` always returns a position in
+        the node's own section, and sections are the non-wrapping
+        ranges ``[k*L, (k+1)*L)``.  A layout has at least two sections
+        (in fact four: one high bit above one type bit), so the ring
+        holds at least ``2L`` ids.  For a candidate ``c`` of the section,
+        ``distance(position, c)`` is ``c - position < L`` when
+        ``c >= position`` and at least ``2L - (position - c) > L``
+        otherwise: the clockwise members are the candidates from the
+        bisect point on, in ascending id order, and the
+        counter-clockwise ones are those before it, in descending id
+        order.
         """
         position = self.position_for_me(key)
         if position is None:
             return []
-        node = self.node
-        space = node.space
-        my_section = self.layout.section_index(node.node_id)
-        length = self.layout.section_length
-        candidates = {
-            e.node_id: e
-            for e in list(node.successors.entries)
-            + list(node.predecessors.entries)
-            + [node.info]
-            if self.layout.section_index(e.node_id) == my_section
-        }
-        after = sorted(
-            (e for e in candidates.values() if space.distance(position, e.node_id) < length),
-            key=lambda e: space.distance(position, e.node_id),
-        )
-        before = sorted(
-            (e for e in candidates.values() if space.distance(position, e.node_id) >= length),
-            key=lambda e: space.distance(e.node_id, position),
-        )
-        return (after + before)[: self._group_size()]
+        ids, entries = candidates
+        size = self._group_size()
+        i = bisect_left(ids, position)
+        group = entries[i : i + size]
+        short = size - len(group)
+        if short > 0 and i:
+            group += entries[max(0, i - short) : i][::-1]
+        return group
 
     # -- adjusted lookups -------------------------------------------------------------
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import List
 
 import pytest
 
 from repro.chord import ChordNode, OverlayConfig, instant_bootstrap
 from repro.chord.ring import Population
+from repro.chord.state import NodeInfo
 from repro.crypto import CertificateAuthority
 from repro.ids import IdSpace, NodeType, VermeIdLayout
 from repro.net import ConstantLatency, Network, NodeAddress
@@ -128,6 +130,25 @@ def run_lookup(ring, node, key, **kwargs):
     ring.sim.run(until=ring.sim.now + 120.0)
     assert results, "lookup never completed"
     return results[0]
+
+
+def stub_overlay_node(
+    space, node_id, successors=(), predecessors=(), predecessor=None, layout=None
+):
+    """A duck-typed overlay node holding exactly the routing state given,
+    with no ring behind it: enough to construct a DHT layer and ask it
+    for replica groups.  Its own entry is at host slot 0."""
+    return SimpleNamespace(
+        node_id=node_id,
+        space=space,
+        layout=layout,
+        sim=Simulator(),
+        info=NodeInfo(node_id, NodeAddress(0)),
+        rpc=SimpleNamespace(register=lambda *_args: None),
+        successors=SimpleNamespace(entries=list(successors)),
+        predecessors=SimpleNamespace(entries=list(predecessors)),
+        predecessor=predecessor,
+    )
 
 
 def population_of(nodes) -> Population:

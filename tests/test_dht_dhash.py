@@ -2,9 +2,15 @@
 
 import random
 
+import pytest
 
+from repro.chord.state import NodeInfo
 from repro.dht import DhtConfig, DHashNode, block_key
+from repro.dht.fragments import FragmentedDHashNode
+from repro.ids import IdSpace
+from repro.net import NodeAddress
 
+from conftest import stub_overlay_node
 
 
 def attach_dhash(ring, num_replicas=4):
@@ -123,3 +129,74 @@ def test_background_replication_not_tagged(chord_ring):
     # The op tag covers only lookup + primary store, far less than
     # total replication traffic would add.
     assert acct.bytes_for_op(put.op_tag) < acct.total_bytes
+
+
+# -- replica-group selection: exact equality with the per-key construction --
+
+
+def reference_group_view(self, key):
+    """The per-key group construction that the per-round candidate step
+    replaced, kept verbatim as the oracle for ``_group_view``."""
+    node = self.node
+    pred = node.predecessor
+    if pred is not None and node.space.in_half_open(
+        key, pred.node_id, node.node_id
+    ):
+        return [node.info] + node.successors.entries[
+            : self.config.num_replicas - 1
+        ]
+    # Not provably the owner: stay quiet and let the owner push.
+    return []
+
+
+GROUP_SPACE = IdSpace(16)
+
+
+def dhash_layer(node_id, pred_id, succ_ids, cls=DHashNode, num_replicas=4):
+    succ = [NodeInfo(i, NodeAddress(1 + n)) for n, i in enumerate(succ_ids)]
+    pred = None if pred_id is None else NodeInfo(pred_id, NodeAddress(99))
+    node = stub_overlay_node(GROUP_SPACE, node_id, successors=succ, predecessor=pred)
+    return cls(node, DhtConfig(num_replicas=num_replicas))
+
+
+def _probe_keys(node_id, pred_id):
+    wrap = GROUP_SPACE.wrap
+    spots = {node_id, 0, GROUP_SPACE.mask, (node_id + GROUP_SPACE.mask) // 2}
+    if pred_id is not None:
+        spots.add(pred_id)
+    return sorted({wrap(s + d) for s in spots for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize(
+    "node_id, pred_id, succ_ids",
+    [
+        (5000, None, [6000, 7000, 8000]),  # no predecessor: never a member
+        (5000, 4000, [6000, 7000, 8000, 9000, 10000]),  # more successors than n-1
+        (5000, 4000, [6000]),  # fewer successors than n-1
+        (5000, 4000, []),
+        (100, 60000, [200, 300, 400]),  # (pred, self] wraps through 0
+        (65535, 65000, [0, 10, 20]),  # the node sits on the last id
+        (5000, 5000, [5000]),  # single-node ring: owns every key
+    ],
+)
+def test_group_view_equals_per_key_reference(node_id, pred_id, succ_ids):
+    layer = dhash_layer(node_id, pred_id, succ_ids)
+    candidates = layer._group_candidates()
+    keys = _probe_keys(node_id, pred_id)
+    members = [k for k in keys if reference_group_view(layer, k)]
+    if pred_id is None:
+        assert members == []
+    elif pred_id != node_id:
+        # Both sides of (pred, self] are probed.
+        assert 0 < len(members) < len(keys)
+    for key in keys:
+        assert layer._group_view(candidates, key) == reference_group_view(
+            layer, key
+        ), key
+
+
+def test_fragmented_dhash_group_view_is_empty():
+    layer = dhash_layer(5000, 4000, [6000, 7000], cls=FragmentedDHashNode, num_replicas=6)
+    candidates = layer._group_candidates()
+    assert candidates is None
+    assert layer._group_view(candidates, 4500) == []
